@@ -75,13 +75,13 @@ def current_tracer():
 def current_kernels() -> str:
     """The kernel-set name of the benchmark run in progress.
 
-    ``repro bench run --kernels numpy`` routes the selection here;
-    benchmark bodies pass it to ``TreeCode(kernels=...)``.  Under plain
-    pytest (or with no ``--kernels`` flag) it returns ``"python"``, the
-    reference set, so results stay comparable to earlier releases
-    unless a mode is requested explicitly.
+    ``repro bench run --kernels NAME`` routes the selection here;
+    benchmark bodies pass it to ``TreeCode(kernels=...)``.  The value
+    is the resolved set's name, so under plain pytest (or with no
+    ``--kernels`` flag) it is the default set's, ``"numpy"``.
     """
-    return _KERNELS.get() or "python"
+    from ..core.kernels import resolve_kernels
+    return resolve_kernels(_KERNELS.get()).name
 
 
 def current_cluster():
@@ -163,7 +163,7 @@ class RunnerConfig:
     #: Enable cProfile + obs phase timers per benchmark.
     profile: bool = False
     #: Kernel-set selection exposed via :func:`current_kernels`
-    #: (None: the "python" reference set).
+    #: (None: the default set).
     kernels: Optional[str] = None
     #: Emulated cluster hosts exposed via :func:`current_cluster`
     #: (None: single host).
@@ -181,9 +181,10 @@ class RunnerConfig:
 
     def as_json(self) -> Dict[str, Any]:
         """The ``config`` section of the result document."""
+        from ..core.kernels import resolve_kernels
         out = {"tier": self.tier or "full", "rounds": self.rounds,
                "warmup": self.warmup, "profile": self.profile,
-               "kernels": self.kernels or "python"}
+               "kernels": resolve_kernels(self.kernels).name}
         if self.hosts is not None or self.boards is not None:
             out["hosts"] = self.hosts if self.hosts is not None else 1
             out["boards"] = self.boards if self.boards is not None else 2

@@ -71,10 +71,10 @@ the default ``--engine serial`` is the sequential path and is
 bit-identical to earlier releases.
 
 Kernel selection (``run``/``resume``/``sweep``/``bench run``):
-``--kernels numpy`` switches the treecode onto the vectorized batch
-kernels (identical tree, forces equal to tight float tolerance; see
-docs/kernels.md); the default ``--kernels python`` is the per-particle
-reference path, bit-identical to earlier releases.
+``--kernels`` names the kernel set; there is one, ``numpy`` (the
+default), which evaluates every interaction-list sweep through the
+compiled CSR list walk (see docs/kernels.md).  ``python``, the name of
+the retired per-particle reference path, is accepted as an alias.
 
 Observability (``run``/``resume``/``sweep``): ``--profile`` prints the
 section-5-style per-phase wall-time table at the end, ``--trace
@@ -129,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     obs.add_argument("--engine", choices=("serial", "pipeline"),
                      default="serial",
                      help="force-evaluation engine: 'serial' (default, "
-                          "the sequential submit/gather path) or "
+                          "one in-process eval_lists sweep) or "
                           "'pipeline' (multiprocess workers overlapping "
                           "traversal and force evaluation)")
     obs.add_argument("--workers", type=int, default=None, metavar="N",
@@ -137,14 +137,12 @@ def build_parser() -> argparse.ArgumentParser:
                           "(default: all cores)")
     # no argparse choices= here: unknown names flow through
     # resolve_kernels() so the error lands on the command stream as a
-    # uniform exit-2 usage error (and stays open to registered
-    # third-party kernel sets)
+    # uniform exit-2 usage error
     obs.add_argument("--kernels", default=None,
-                     metavar="{python,numpy}",
-                     help="force/tree kernel set: 'python' (default, "
-                          "the per-particle reference path) or 'numpy' "
-                          "(vectorized batch kernels; identical tree, "
-                          "forces equal to tight float tolerance)")
+                     metavar="{numpy,python}",
+                     help="force/tree kernel set: 'numpy' (default, the "
+                          "compiled CSR list walk); 'python' is an "
+                          "alias of it")
     obs.add_argument("--hosts", type=int, default=None, metavar="K",
                      help="emulate a K-host PC-GRAPE cluster (domain-"
                           "decomposed sinks, locally-essential-tree "
@@ -274,9 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "(a path, or a name under "
                          "benchmarks/baselines/)")
     br.add_argument("--kernels", default=None,
-                    metavar="{python,numpy}",
+                    metavar="{numpy,python}",
                     help="kernel set exposed to benchmark bodies via "
-                         "current_kernels() (default: python)")
+                         "current_kernels() (default: numpy)")
     br.add_argument("--hosts", type=int, default=None, metavar="K",
                     help="emulated cluster hosts exposed to benchmark "
                          "bodies via current_cluster() (default: "
@@ -371,9 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="K")
     u.add_argument("--faults", default=None, metavar="PLAN")
     u.add_argument("--kernels", default=None,
-                   metavar="{python,numpy}",
+                   metavar="{numpy,python}",
                    help="kernel set the job runs under "
-                        "(default: python)")
+                        "(default: numpy)")
     u.add_argument("--wait", action="store_true",
                    help="poll the job to completion; nonzero exit if "
                         "it does not finish 'done'")
@@ -504,9 +502,8 @@ def _make_flight(args):
 def _make_engine(args, plan=None):
     """Build the requested force-evaluation engine (or None for serial).
 
-    ``None`` keeps the treecode on its built-in sequential
-    submit/gather path, which stays the default and is bit-identical
-    to the pre-engine code.
+    ``None`` keeps the treecode on its built-in in-process
+    ``eval_lists`` sweep, which stays the default.
     """
     from repro.exec import make_engine
     name = getattr(args, "engine", "serial")

@@ -1,32 +1,24 @@
 """Kernel selection: the ``kernels=`` surface shared by the whole stack.
 
 A :class:`KernelSet` bundles the host-side tree kernels (Morton keys,
-octree construction, MAC traversal) with an *evaluation strategy* for
-the interaction lists:
-
-* ``python`` -- the reference set.  Tree construction and traversal are
-  the vectorised routines in :mod:`repro.core.{morton,octree,traversal}`
-  and force evaluation walks sink groups one at a time through
-  ``backend.submit``/``gather`` (one Python iteration per group).
-* ``numpy`` -- identical tree kernels (the tree and the interaction
-  lists are **bit-identical** by construction -- both sets call the very
-  same functions), but list evaluation is *batched*: whole CSR blocks of
-  sink groups go through :meth:`ForceBackend.eval_lists` in one call,
-  which bottoms out in the compiled list walk of
-  :mod:`repro.core.kernels.cnative` when available and in a NumPy
-  reference loop when not.
+octree construction, MAC traversal).  There is one set, ``numpy``:
+tree construction and traversal are the vectorised routines in
+:mod:`repro.core.{morton,octree,traversal}`, and every interaction-list
+sweep is evaluated by :meth:`ForceBackend.eval_lists` in one call per
+sweep, which bottoms out in the compiled list walk of
+:mod:`repro.core.kernels.cnative` when available and in the per-sink
+reference loop of the base class when not.
 
 Every layer that builds forces -- :class:`~repro.core.treecode.TreeCode`,
 :class:`~repro.cosmo.periodic_tree.PeriodicTreeCode`,
 :class:`~repro.sim.simulation.Simulation`,
 :func:`repro.sim.recipes.build_force`, the serve ``JobSpec``, and the
 CLI ``--kernels`` flag -- accepts the same ``kernels=`` value: a set
-name or a :class:`KernelSet`.  Unknown names raise :class:`ValueError`
-listing the registered sets, which the CLI maps to exit 2 and the
-service to HTTP 400.
-
-Third-party sets register with :func:`register_kernels`; see
-``docs/kernels.md`` for the contract a new backend has to satisfy.
+name or a :class:`KernelSet`.  ``None``, ``"numpy"`` and ``"python"``
+(the name of the retired per-sink set, still accepted so stored job
+specs and scripts resolve) all give the one set.  Unknown names raise
+:class:`ValueError` listing the valid names, which the CLI maps to
+exit 2 and the service to HTTP 400.
 
 This module also re-exports the force-backend layer
 (:class:`ForceBackend`, :class:`Float64Backend`,
@@ -37,7 +29,7 @@ imports keep working unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, ClassVar, Union
 
 from ..morton import bounding_cube, morton_keys
 from ..octree import build_octree
@@ -47,7 +39,7 @@ from .backend import (DEFAULT_TILE, BackendCaps, Float64Backend,
                       self_potential_correction)
 
 __all__ = [
-    "KernelSet", "register_kernels", "resolve_kernels", "kernel_names",
+    "KernelSet", "resolve_kernels", "kernel_names",
     # force-backend layer (historical flat-module surface)
     "ForceBackend", "Float64Backend", "BackendCaps", "pairwise_accpot",
     "self_potential_correction", "DEFAULT_TILE",
@@ -56,18 +48,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KernelSet:
-    """A named bundle of host kernels plus an evaluation strategy.
+    """A named bundle of host kernels.
 
     ``morton_keys`` / ``bounding_cube`` / ``build_tree`` / ``traverse``
     are the host-computation kernels (the paper's tree-construction and
-    tree-traversal terms of the time model); ``batched`` selects how the
-    resulting interaction lists are evaluated -- per sink group through
-    ``submit``/``gather`` (False) or in whole CSR batches through
-    :meth:`ForceBackend.eval_lists` (True).
+    tree-traversal terms of the time model).  Lists are always
+    evaluated in whole CSR sweeps through
+    :meth:`ForceBackend.eval_lists`, which ``batched`` records.
     """
 
+    #: every set evaluates whole CSR sweeps through ``eval_lists``
+    batched: ClassVar[bool] = True
+
     name: str
-    batched: bool
     description: str = ""
     morton_keys: Callable = field(default=morton_keys, repr=False)
     bounding_cube: Callable = field(default=bounding_cube, repr=False)
@@ -75,58 +68,41 @@ class KernelSet:
     traverse: Callable = field(default=build_interaction_lists, repr=False)
 
 
-_REGISTRY: Dict[str, KernelSet] = {}
+_NUMPY = KernelSet(
+    name="numpy",
+    description="CSR list-walk evaluation (compiled fast path with the "
+                "per-sink reference loop as fallback)",
+)
 
-
-def register_kernels(kernels: KernelSet) -> KernelSet:
-    """Register (or replace) a kernel set under ``kernels.name``."""
-    if not isinstance(kernels, KernelSet):
-        raise TypeError("register_kernels expects a KernelSet")
-    if not kernels.name:
-        raise ValueError("kernel set needs a non-empty name")
-    _REGISTRY[kernels.name] = kernels
-    return kernels
+#: accepted names; ``python`` names the retired per-sink set and
+#: resolves to the one set
+_NAMES = {"numpy": _NUMPY, "python": _NUMPY}
 
 
 def kernel_names() -> tuple:
-    """The registered set names, sorted."""
-    return tuple(sorted(_REGISTRY))
+    """The accepted set names, sorted."""
+    return tuple(sorted(_NAMES))
 
 
 def resolve_kernels(kernels: Union[str, KernelSet, None]) -> KernelSet:
     """Resolve a ``kernels=`` value to a :class:`KernelSet`.
 
-    ``None`` means the default (``python``); a :class:`KernelSet` passes
-    through; a string is looked up in the registry.  Unknown names raise
+    ``None`` means the default set; a :class:`KernelSet` passes
+    through; a string is looked up by name.  Unknown names raise
     :class:`ValueError` naming the valid choices -- every entry point
     funnels bad values through here so the CLI (exit 2) and the service
     (HTTP 400) reject them uniformly.
     """
     if kernels is None:
-        return _REGISTRY["python"]
+        return _NUMPY
     if isinstance(kernels, KernelSet):
         return kernels
     if isinstance(kernels, str):
         try:
-            return _REGISTRY[kernels]
+            return _NAMES[kernels]
         except KeyError:
             raise ValueError(
                 f"unknown kernels {kernels!r} (choose from "
                 f"{', '.join(kernel_names())})") from None
     raise ValueError(f"kernels must be a name or KernelSet, "
                      f"got {type(kernels).__name__}")
-
-
-register_kernels(KernelSet(
-    name="python",
-    batched=False,
-    description="reference per-group evaluation loop",
-))
-
-register_kernels(KernelSet(
-    name="numpy",
-    batched=True,
-    description="batched CSR list-walk evaluation (compiled fast path "
-                "with NumPy fallback); tree kernels identical to "
-                "'python'",
-))

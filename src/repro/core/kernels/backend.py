@@ -26,20 +26,19 @@ Tiles are sized to keep the (n_i, n_j_chunk) temporaries inside the CPU
 cache region where NumPy broadcasting is efficient (guide: "beware of
 cache effects"; do not materialise the full N x M matrix).
 
-Backends additionally expose a **batch list protocol**
-(:meth:`ForceBackend.eval_lists` / :meth:`ForceBackend.compute_batched`)
-driven by the ``numpy`` kernel set (see :mod:`repro.core.kernels`): one
-call evaluates *every* sink of a CSR interaction-list sweep, with no
-per-sink Python round-trips.  The base implementations fall back to the
-per-sink submit/gather loop, so every backend is batch-complete; the
-bundled backends override them with vectorised CSR walks
-(:mod:`repro.core.kernels.batch`).
+Backends expose two calls: :meth:`ForceBackend.compute`, one dense
+(sinks x sources) evaluation, and :meth:`ForceBackend.eval_lists`, one
+whole CSR interaction-list sweep.  The base ``eval_lists`` is the
+per-sink reference loop over ``compute``, so every backend is complete
+with ``compute`` alone; the bundled backends override it with the
+compiled CSR walk (:mod:`repro.core.kernels.batch`) and fall back to
+the reference loop when the compiled kernel is unavailable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -136,17 +135,12 @@ class ForceBackend:
     inputs give the same outputs) but may accumulate performance
     statistics across calls.
 
-    The primary interface is the **batched submit/gather protocol**,
-    mirroring how the paper's host code drives the hardware: stage a
-    force *request* (``submit``), let the device work, read results back
-    asynchronously (``gather``).  The base class implements the protocol
-    as a *sequential shim* over :meth:`compute` -- each ``submit``
-    evaluates eagerly and ``gather`` drains the buffered results -- so
-    every existing backend is protocol-complete for free, while truly
-    asynchronous backends can overlap.  Direct ``compute()`` calls
-    remain supported as the one-shot convenience form (see
-    ``docs/parallel_engine.md`` for the deprecation path of hot-loop
-    ``compute`` callers).
+    The protocol is two calls, mirroring how the paper's host code
+    drives the hardware (``g5_set_xmj`` -> ``g5_run`` ->
+    ``g5_get_force``): :meth:`compute` evaluates one dense source set,
+    and :meth:`eval_lists` evaluates every sink of one CSR
+    interaction-list sweep.  Subclasses must implement ``compute``;
+    the base ``eval_lists`` is the reference loop over it.
     """
 
     #: human-readable backend name for reports
@@ -157,39 +151,10 @@ class ForceBackend:
         """Return ``(acc, pot)`` on sinks ``xi`` from sources ``xj, mj``."""
         raise NotImplementedError
 
-    # -- batched submit/gather protocol --------------------------------
     def capabilities(self) -> BackendCaps:
         """Static capability descriptor used for batch planning."""
         return BackendCaps()
 
-    def submit(self, key: Any, xi: np.ndarray, xj: np.ndarray,
-               mj: np.ndarray, eps: float) -> Any:
-        """Stage one force request; returns ``key`` as its ticket.
-
-        The base implementation is the sequential shim: it evaluates
-        through :meth:`compute` immediately and buffers the result for
-        the next :meth:`gather`.
-        """
-        pending: List[Tuple[Any, np.ndarray, np.ndarray]] = \
-            self.__dict__.setdefault("_pending_results", [])
-        acc, pot = self.compute(xi, xj, mj, eps)
-        pending.append((key, acc, pot))
-        return key
-
-    def gather(self) -> List[Tuple[Any, np.ndarray, np.ndarray]]:
-        """Drain completed requests as ``[(key, acc, pot), ...]``.
-
-        Results are returned in completion order (submission order for
-        the sequential shim).  After the call the pending buffer is
-        empty; requests submitted later need a later ``gather``.
-        """
-        pending = self.__dict__.get("_pending_results")
-        if not pending:
-            return []
-        self.__dict__["_pending_results"] = []
-        return pending
-
-    # -- batch list protocol (the ``numpy`` kernel set) ----------------
     def eval_lists(self, pos: np.ndarray, pmass: np.ndarray,
                    com: np.ndarray, cmass: np.ndarray, lists,
                    sink_start: np.ndarray, sink_count: np.ndarray,
@@ -200,16 +165,18 @@ class ForceBackend:
         ``lists`` is a :class:`~repro.core.traversal.InteractionLists`
         whose sink ``g`` corresponds to rows
         ``sink_start[g]:sink_start[g]+sink_count[g]`` of ``pos`` (and of
-        the output arrays).  Sources are cell monopoles then direct
-        particles, in the same concatenation order as the per-sink path.
+        the output arrays).  Sources are the sink's cell monopoles then
+        its direct particles, concatenated into one point-mass list --
+        the array the host ships to the GRAPE-5 particle data memory.
+        The offsets may be a slice that does not start at zero (the
+        index arrays are read through them, never rebased).
 
-        The base implementation is the reference loop -- one
-        submit/gather round-trip per sink, so any backend works; the
-        bundled backends override it with a vectorised CSR walk (the C
-        fast path of :mod:`repro.core.kernels.cnative` when a compiler
-        is available).  Output rows are *assigned*, never accumulated,
-        so re-evaluating a sink range is idempotent (the pipeline
-        engine's retry ladder depends on this).
+        This base implementation is the reference loop -- one
+        :meth:`compute` call per sink -- and the fallback of every
+        bundled backend when the compiled kernel is unavailable.
+        Output rows are *assigned*, never accumulated, so re-evaluating
+        a sink range is idempotent (the pipeline engine's retry ladder
+        depends on this).
         """
         for g in range(int(sink_start.shape[0])):
             s, n = int(sink_start[g]), int(sink_count[g])
@@ -217,22 +184,8 @@ class ForceBackend:
             parts = lists.parts_of(g)
             xj = np.concatenate([com[cells], pos[parts]])
             mj = np.concatenate([cmass[cells], pmass[parts]])
-            self.submit(g, pos[s:s + n], xj, mj, eps)
-            for _, a, p in self.gather():
-                out_acc[s:s + n] = a
-                out_pot[s:s + n] = p
-
-    def compute_batched(self, xi: np.ndarray, xj: np.ndarray,
-                        mj: np.ndarray, eps: float
-                        ) -> Tuple[np.ndarray, np.ndarray]:
-        """One-shot dense force call through the batch fast path.
-
-        Same contract as :meth:`compute`; backends with a native kernel
-        override this to bypass their per-pair reference arithmetic
-        (used by drivers whose source lists are rebuilt per sink, e.g.
-        the periodic treecode's minimum-image near field).
-        """
-        return self.compute(xi, xj, mj, eps)
+            out_acc[s:s + n], out_pot[s:s + n] = self.compute(
+                pos[s:s + n], xj, mj, eps)
 
     # -- worker-process support ----------------------------------------
     def worker_factory(self) -> Optional[Tuple[Callable[..., "ForceBackend"],
@@ -299,15 +252,6 @@ class Float64Backend(ForceBackend):
                                sink_count, eps, out_acc, out_pot)
             return
         self._interactions += inter
-
-    def compute_batched(self, xi, xj, mj, eps):
-        from .batch import f64_pairwise
-        res = f64_pairwise(xi, xj, mj, eps)
-        if res is None:
-            return self.compute(xi, xj, mj, eps)
-        self._interactions += int(np.asarray(xi).shape[0]) \
-            * int(np.asarray(xj).shape[0])
-        return res
 
     def capabilities(self) -> BackendCaps:
         return BackendCaps(max_nj=None, parallel_safe=True)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import logging
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -45,9 +44,6 @@ from .traversal import InteractionLists, build_interaction_lists
 __all__ = ["TreeCode", "TreeStats"]
 
 logger = logging.getLogger(__name__)
-
-#: subclasses already warned about the batched-kernels downgrade
-_batch_shim_warned: set = set()
 
 
 @dataclass
@@ -116,16 +112,15 @@ class TreeCode:
         scheme would do).
     engine:
         A :class:`repro.exec.ForceEngine` driving the eval sweep.
-        ``None`` (the default) keeps the built-in sequential loop --
-        bit-identical to the historical behaviour.  A
-        :class:`~repro.exec.PipelineEngine` dispatches the per-group
-        force requests to worker processes and overlaps traversal of
-        later sink shards with evaluation of earlier ones (the paper's
-        host/GRAPE overlap).  Ignored (with the sequential loop used
-        instead) in quadrupole mode and in subclasses that override
-        ``_eval_sink`` -- their host-side per-sink work cannot ship to
-        workers.  The engine's lifecycle belongs to the caller; see
-        :meth:`close`.
+        ``None`` (the default) evaluates in-process: one
+        :meth:`~repro.core.kernels.ForceBackend.eval_lists` sweep.  A
+        :class:`~repro.exec.PipelineEngine` dispatches CSR batches to
+        worker processes and overlaps traversal of later sink shards
+        with evaluation of earlier ones (the paper's host/GRAPE
+        overlap).  Ignored in quadrupole mode and in subclasses that
+        override :meth:`_eval_lists` -- their host-side work cannot
+        ship to workers.  The engine's lifecycle belongs to the
+        caller; see :meth:`close`.
     tracer:
         A :class:`repro.obs.trace.Tracer`; every force evaluation then
         opens ``tree_build`` / ``group`` / ``traverse`` / ``eval``
@@ -140,14 +135,8 @@ class TreeCode:
         recorded when present.
     kernels:
         Kernel-set name or :class:`~repro.core.kernels.KernelSet`
-        (``"python"`` default, ``"numpy"`` for batched CSR evaluation).
-        Both sets share the same tree kernels, so the tree and the
-        interaction lists are bit-identical; they differ only in how
-        lists are evaluated.  Subclasses that override ``_eval_sink``
-        without declaring ``_batched_eval_native = True`` are
-        transparently downgraded to ``"python"`` with a one-time
-        :class:`DeprecationWarning` -- the historical per-sink hook
-        cannot see batched sweeps.
+        (see :func:`~repro.core.kernels.resolve_kernels`); supplies the
+        tree-construction and traversal kernels.
     cluster:
         A :class:`~repro.cluster.ClusterSpec` (opened into a fresh
         :class:`~repro.cluster.ClusterContext`) or an already-built
@@ -158,11 +147,6 @@ class TreeCode:
         backends and its own parallel structure).  ``hosts=1,
         boards=2`` is bit-identical to the plain GRAPE path.
     """
-
-    #: subclasses that override ``_eval_sink`` but are batch-aware
-    #: (route their backend work through ``compute_batched``) set this
-    #: to keep ``kernels="numpy"`` instead of the deprecation shim
-    _batched_eval_native = False
 
     def __init__(self, *, theta: float = 0.75, n_crit: int = 2000,
                  leaf_size: int = 8,
@@ -192,11 +176,11 @@ class TreeCode:
             if quadrupole:
                 raise ValueError("cluster mode is monopole-only (the "
                                  "GRAPE pipelines are)")
-            if type(self)._eval_sink is not TreeCode._eval_sink:
+            if type(self)._eval_lists is not TreeCode._eval_lists:
                 raise ValueError(
-                    f"{type(self).__name__} overrides _eval_sink; the "
+                    f"{type(self).__name__} overrides _eval_lists; the "
                     "cluster path evaluates whole row sets and cannot "
-                    "honour a per-sink hook")
+                    "honour it")
             self._owns_cluster = isinstance(cluster, ClusterSpec)
             if self._owns_cluster:
                 cluster = ClusterContext(cluster, metrics=metrics)
@@ -208,19 +192,6 @@ class TreeCode:
         self.mac = mac if mac is not None else BarnesHutMAC(theta=theta)
         self.quadrupole = bool(quadrupole)
         self.kernels = resolve_kernels(kernels)
-        if (self.kernels.batched
-                and type(self)._eval_sink is not TreeCode._eval_sink
-                and not type(self)._batched_eval_native):
-            if type(self) not in _batch_shim_warned:
-                _batch_shim_warned.add(type(self))
-                warnings.warn(
-                    f"{type(self).__name__} overrides _eval_sink without "
-                    "declaring _batched_eval_native; falling back to "
-                    "kernels='python'.  Route backend work through "
-                    "compute_batched and set _batched_eval_native = True "
-                    "to use batched kernel sets.",
-                    DeprecationWarning, stacklevel=2)
-            self.kernels = resolve_kernels("python")
         self.engine = engine
         self.tracer = as_tracer(tracer)
         self.metrics = metrics
@@ -281,30 +252,27 @@ class TreeCode:
                 groups = make_groups(tree, self.n_crit)
             t_group = time.perf_counter() - t0
             sink_center, sink_radius = groups.center, groups.radius
+            sink_start, sink_count = groups.start, groups.count
         else:
             t_group = 0.0
             groups = None
             sink_center = tree.pos_sorted
             sink_radius = np.zeros(tree.n_particles, dtype=np.float64)
-
-        if algorithm == "modified":
-            sink_weights = groups.count
-        else:
-            sink_weights = np.ones(tree.n_particles, dtype=np.int64)
-        n_sinks = (groups.n_groups if groups is not None
-                   else tree.n_particles)
+            sink_start = np.arange(tree.n_particles, dtype=np.int64)
+            sink_count = np.ones(tree.n_particles, dtype=np.int64)
+        n_sinks = int(sink_start.shape[0])
         kernel_phase = ("grape_force" if "grape" in self.backend.name
                         else "host_kernel")
 
         use_engine = (self.engine is not None and not self.quadrupole
-                      and type(self)._eval_sink is TreeCode._eval_sink)
+                      and type(self)._eval_lists is TreeCode._eval_lists)
         if use_engine:
             # Engine path: traversal and evaluation are interleaved (the
             # engine builds lists shard-by-shard and evaluates earlier
             # shards meanwhile), so traverse time is accumulated inside
             # and attributed afterwards.
-            spec = self._sweep_spec(tree, groups, sink_center, sink_radius,
-                                    eps)
+            spec = self._sweep_spec(tree, sink_start, sink_count,
+                                    sink_center, sink_radius, eps)
             t0 = time.perf_counter()
             with tr.span("eval", algorithm=algorithm,
                          engine=self.engine.name):
@@ -330,40 +298,19 @@ class TreeCode:
 
             t0 = time.perf_counter()
             self._kernel_seconds = 0.0
-            batched = (self.kernels.batched
-                       and type(self)._eval_sink is TreeCode._eval_sink)
             with tr.span("eval", algorithm=algorithm,
                          kernels=self.kernels.name):
                 acc_s = np.empty((tree.n_particles, 3), dtype=np.float64)
                 pot_s = np.empty(tree.n_particles, dtype=np.float64)
-                if algorithm == "modified":
-                    sink_start, sink_count = groups.start, groups.count
-                else:
-                    sink_start = np.arange(tree.n_particles, dtype=np.int64)
-                    sink_count = np.ones(tree.n_particles, dtype=np.int64)
                 if self.cluster is not None:
                     k0 = time.perf_counter()
                     self.cluster.evaluate(tree, lists, sink_center,
                                           sink_start, sink_count, eps,
-                                          acc_s, pot_s, batched=batched)
+                                          acc_s, pot_s)
                     self._kernel_seconds += time.perf_counter() - k0
-                elif batched:
-                    self._eval_batched(tree, lists, sink_start, sink_count,
-                                       eps, acc_s, pot_s)
-                elif algorithm == "modified":
-                    for g in range(groups.n_groups):
-                        s, n = int(groups.start[g]), int(groups.count[g])
-                        xi = tree.pos_sorted[s:s + n]
-                        a, p = self._eval_sink(tree, lists, g, xi, eps)
-                        acc_s[s:s + n] = a
-                        pot_s[s:s + n] = p
                 else:
-                    for i in range(tree.n_particles):
-                        a, p = self._eval_sink(tree, lists, i,
-                                               tree.pos_sorted[i:i + 1],
-                                               eps)
-                        acc_s[i] = a[0]
-                        pot_s[i] = p[0]
+                    self._eval_lists(tree, lists, sink_start, sink_count,
+                                     eps, acc_s, pot_s)
                 # remove the Plummer self term picked up from the direct
                 # list
                 pot_s += self_potential_correction(tree.mass_sorted, eps)
@@ -382,7 +329,7 @@ class TreeCode:
         pot[tree.order] = pot_s
 
         lengths = lists.list_lengths
-        total = int(np.sum(lengths * sink_weights))
+        total = int(np.sum(lengths * sink_count))
         if self.metrics is not None:
             m = self.metrics
             m.counter("tree.force_evals",
@@ -437,9 +384,9 @@ class TreeCode:
         return acc, pot
 
     # ------------------------------------------------------------------
-    def _sweep_spec(self, tree: Octree, groups: Optional[GroupSet],
-                    sink_center: np.ndarray, sink_radius: np.ndarray,
-                    eps: float):
+    def _sweep_spec(self, tree: Octree, sink_start: np.ndarray,
+                    sink_count: np.ndarray, sink_center: np.ndarray,
+                    sink_radius: np.ndarray, eps: float):
         """Package this evaluation as a :class:`repro.exec.SweepSpec`.
 
         The ``build_lists`` closure traverses an arbitrary contiguous
@@ -447,11 +394,6 @@ class TreeCode:
         evaluation.
         """
         from ..exec.plan import SweepSpec
-        if groups is not None:
-            sink_start, sink_count = groups.start, groups.count
-        else:
-            sink_start = np.arange(tree.n_particles, dtype=np.int64)
-            sink_count = np.ones(tree.n_particles, dtype=np.int64)
 
         def build_lists(a: int, b: int) -> InteractionLists:
             return self.kernels.traverse(tree, sink_center[a:b],
@@ -461,22 +403,23 @@ class TreeCode:
                          com=tree.com, cmass=tree.mass,
                          sink_start=sink_start, sink_count=sink_count,
                          eps=float(eps), domain=self._last_domain,
-                         build_lists=build_lists,
-                         kernels=self.kernels.name)
+                         build_lists=build_lists)
 
     # ------------------------------------------------------------------
-    def _eval_batched(self, tree: Octree, lists: InteractionLists,
-                      sink_start: np.ndarray, sink_count: np.ndarray,
-                      eps: float, acc_s: np.ndarray, pot_s: np.ndarray
-                      ) -> None:
-        """Evaluate every sink's list in one batched backend sweep.
+    def _eval_lists(self, tree: Octree, lists: InteractionLists,
+                    sink_start: np.ndarray, sink_count: np.ndarray,
+                    eps: float, acc_s: np.ndarray, pot_s: np.ndarray
+                    ) -> None:
+        """Evaluate every sink's list into ``acc_s``/``pot_s``.
 
         Monopole mode ships the whole CSR block (cells + direct
-        particles) through :meth:`ForceBackend.eval_lists`.  Quadrupole
-        mode batches the direct-particle terms the same way and adds
-        the host-side monopole+quadrupole cell terms per sink group --
-        the same hybrid split as the per-sink path, evaluated on whole
-        i-particle batches.
+        particles) through :meth:`ForceBackend.eval_lists` -- one
+        shared list per sink, as on the hardware.  Quadrupole mode
+        evaluates the direct-particle terms the same way and adds the
+        monopole+quadrupole cell terms on the host per sink group (the
+        GRAPE pipeline is monopole-only).  Subclasses override this to
+        add host-side work around the backend call (the periodic box's
+        Ewald correction).
         """
         if not self.quadrupole:
             k0 = time.perf_counter()
@@ -505,51 +448,3 @@ class TreeCode:
                                          tree.quad[cells], eps)
             acc_s[s:s + n] += a_c
             pot_s[s:s + n] += p_c
-
-    # ------------------------------------------------------------------
-    def _eval_sink(self, tree: Octree, lists: InteractionLists, sink: int,
-                   xi: np.ndarray, eps: float
-                   ) -> Tuple[np.ndarray, np.ndarray]:
-        """Evaluate one sink\'s list through the configured path.
-
-        Monopole mode ships cells and particles together to the
-        backend (one point-mass list, as on the hardware).  Quadrupole
-        mode evaluates cell terms on the host with the
-        monopole+quadrupole kernel and only the direct particles on
-        the backend.  Both go through the backend's submit/gather
-        protocol (one blocking round-trip per sink -- the sequential
-        shim).
-        """
-        if not self.quadrupole:
-            xj, mj = self._sources(tree, lists, sink)
-            k0 = time.perf_counter()
-            self.backend.submit(sink, xi, xj, mj, eps)
-            ((_, a, p),) = self.backend.gather()
-            self._kernel_seconds += time.perf_counter() - k0
-            return a, p
-        cells = lists.cells_of(sink)
-        parts = lists.parts_of(sink)
-        a_c, p_c = quadrupole_accpot(xi, tree.com[cells],
-                                     tree.mass[cells], tree.quad[cells],
-                                     eps)
-        k0 = time.perf_counter()
-        self.backend.submit(sink, xi, tree.pos_sorted[parts],
-                            tree.mass_sorted[parts], eps)
-        ((_, a_p, p_p),) = self.backend.gather()
-        self._kernel_seconds += time.perf_counter() - k0
-        return a_p + a_c, p_p + p_c
-
-    @staticmethod
-    def _sources(tree: Octree, lists: InteractionLists, sink: int
-                 ) -> Tuple[np.ndarray, np.ndarray]:
-        """Assemble the (positions, masses) source list of one sink.
-
-        Cell monopoles and direct particles are concatenated into one
-        point-mass list -- precisely the array the host ships to the
-        GRAPE-5 particle data memory (``g5_set_xmj``).
-        """
-        cells = lists.cells_of(sink)
-        parts = lists.parts_of(sink)
-        xj = np.concatenate([tree.com[cells], tree.pos_sorted[parts]])
-        mj = np.concatenate([tree.mass[cells], tree.mass_sorted[parts]])
-        return xj, mj

@@ -23,7 +23,8 @@ expressed as point-mass interactions).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import time
+from typing import Optional
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from ..core.kernels import ForceBackend
 from ..core.mac import MAC, BarnesHutMAC
 from ..core.multipole import compute_moments
 from ..core.octree import Octree, build_octree
+from ..core.traversal import InteractionLists
 from ..core.treecode import TreeCode
 from .ewald import EwaldCorrectionTable, minimum_image
 
@@ -50,16 +52,10 @@ class PeriodicTreeCode(TreeCode):
         steps, they are position-independent).
     kernels:
         Kernel-set selection, as in :class:`~repro.core.treecode.
-        TreeCode`.  The periodic sweep is batch-aware: with a batched
-        set the anchored nearest-image kernel goes through
-        ``backend.compute_batched`` (one dense native call per group)
-        while the Ewald correction stays on the host, unchanged.
+        TreeCode`.  The anchored nearest-image kernel goes through one
+        single-sink ``backend.eval_lists`` call per group while the
+        Ewald correction stays on the host.
     """
-
-    #: the overridden ``_eval_sink`` routes its backend work through
-    #: ``compute_batched``, so batched kernel sets apply directly
-    #: (no deprecation downgrade)
-    _batched_eval_native = True
 
     def __init__(self, *, box: float, theta: float = 0.75,
                  n_crit: int = 2000, leaf_size: int = 8,
@@ -74,9 +70,9 @@ class PeriodicTreeCode(TreeCode):
             raise ValueError("box must be positive")
         if mac is None:
             mac = BarnesHutMAC(theta=theta, box=box)
-        # note: no ``engine`` parameter -- the per-sink Ewald correction
-        # is host-side work interleaved with the backend call, so the
-        # periodic sweep always runs the sequential submit/gather path
+        # note: no ``engine`` parameter -- the per-group Ewald
+        # correction is host-side work interleaved with the backend
+        # call, so the periodic sweep always runs in-process
         super().__init__(theta=theta, n_crit=n_crit,
                          leaf_size=leaf_size, backend=backend, mac=mac,
                          tracer=tracer, metrics=metrics, kernels=kernels)
@@ -100,17 +96,19 @@ class PeriodicTreeCode(TreeCode):
         return tree
 
     # ------------------------------------------------------------------
-    def _eval_sink(self, tree: Octree, lists, sink: int,
-                   xi: np.ndarray, eps: float
-                   ) -> Tuple[np.ndarray, np.ndarray]:
+    def _eval_lists(self, tree: Octree, lists: InteractionLists,
+                    sink_start: np.ndarray, sink_count: np.ndarray,
+                    eps: float, acc_s: np.ndarray, pot_s: np.ndarray
+                    ) -> None:
         """Anchored-image kernel through the backend + exact correction.
 
         One shared j-list per group is what GRAPE needs, so every
         source is shifted to its minimum image relative to the group's
-        first particle (*anchor*) before the backend call.  Sinks away
-        from the anchor may then see some boundary sources at a
-        non-minimum image ``d_a``; the host-side correction uses the
-        exact identity
+        first particle (*anchor*) and the group is evaluated by one
+        single-sink :meth:`~repro.core.kernels.ForceBackend.eval_lists`
+        call whose "cells" are the shifted sources.  Sinks away from
+        the anchor may then see some boundary sources at a non-minimum
+        image ``d_a``; the host-side correction uses the exact identity
 
             periodic(d) = bare(d_a) + [table(d_w) + bare(d_w)
                                        - bare(d_a)],
@@ -119,15 +117,33 @@ class PeriodicTreeCode(TreeCode):
         pair, and collapses to the plain table value whenever
         ``d_a == d_w`` (the overwhelming majority of pairs).
         """
-        xj, mj = self._sources(tree, lists, sink)
-        anchor = xi[0]
-        xj_near = anchor + minimum_image(xj - anchor, self.box)
-        if self.kernels.batched:
-            acc, pot = self.backend.compute_batched(xi, xj_near, mj, eps)
-        else:
-            self.backend.submit(sink, xi, xj_near, mj, eps)
-            ((_, acc, pot),) = self.backend.gather()
+        pos = tree.pos_sorted
+        for g in range(int(sink_start.shape[0])):
+            s, n = int(sink_start[g]), int(sink_count[g])
+            cells, parts = lists.cells_of(g), lists.parts_of(g)
+            xj = np.concatenate([tree.com[cells], pos[parts]])
+            mj = np.concatenate([tree.mass[cells], tree.mass_sorted[parts]])
+            xi = pos[s:s + n]
+            xj_near = xi[0] + minimum_image(xj - xi[0], self.box)
+            n_j = xj_near.shape[0]
+            near = InteractionLists(
+                n_sinks=1, cell_idx=np.arange(n_j, dtype=np.int64),
+                cell_off=np.array([0, n_j], dtype=np.int64),
+                part_idx=np.empty(0, dtype=np.int64),
+                part_off=np.zeros(2, dtype=np.int64))
+            k0 = time.perf_counter()
+            self.backend.eval_lists(pos, tree.mass_sorted, xj_near, mj,
+                                    near, sink_start[g:g + 1],
+                                    sink_count[g:g + 1], eps, acc_s, pot_s)
+            self._kernel_seconds += time.perf_counter() - k0
+            self._add_ewald(xi, xj_near, mj, eps,
+                            acc_s[s:s + n], pot_s[s:s + n])
 
+    def _add_ewald(self, xi: np.ndarray, xj_near: np.ndarray,
+                   mj: np.ndarray, eps: float, acc: np.ndarray,
+                   pot: np.ndarray) -> None:
+        """Add the periodic-image correction of sources ``xj_near``
+        (anchored images) onto sink rows ``acc``/``pot`` in place."""
         n_i = xi.shape[0]
         eps2 = float(eps) ** 2
         tiny = np.finfo(np.float64).tiny
@@ -157,4 +173,3 @@ class PeriodicTreeCode(TreeCode):
                     * gc.reshape(n_i, j1 - j0, 3)).sum(axis=1)
             pot -= (m[None, :]
                     * pc.reshape(n_i, j1 - j0)).sum(axis=1)
-        return acc, pot

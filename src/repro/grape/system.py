@@ -199,8 +199,8 @@ class Grape5System:
     def charge_batch(self, n_i: np.ndarray, n_j: np.ndarray) -> None:
         """Charge a batch of force calls to the performance model.
 
-        The batched kernel path evaluates whole CSR blocks of calls in
-        one native sweep, so the per-call accounting of
+        The compiled CSR walk evaluates whole blocks of calls in one
+        native sweep, so the per-call accounting of
         :meth:`_compute_resident` is replayed here vectorised: empty
         calls are dropped (the functional path returns before charging
         them) and calls whose j-set exceeds the combined particle
@@ -230,7 +230,10 @@ class Grape5System:
         t_total = float(np.sum(t))
         self.n_calls += calls
         self.interactions += inter
-        self.model_seconds += t_total
+        # call by call, as the per-call path adds them, so both paths
+        # reach the same model_seconds to the last bit
+        for t_call in t.tolist():
+            self.model_seconds += t_call
         if self.record_calls:
             self.call_log.extend(
                 (int(a), int(b)) for a, b in zip(n_i, n_j))
@@ -283,12 +286,20 @@ class GrapeBackend(ForceBackend):
     name = "grape5"
 
     def compute(self, xi, xj, mj, eps):
+        return self._retrying(
+            lambda: self.system.compute(xi, xj, mj, eps))
+
+    def _retrying(self, call):
+        """Run ``call`` at the ``grape.compute`` fault site, re-issuing
+        it after each :class:`~repro.faults.TransientBackendError` up
+        to ``max_retries`` times.  The site precedes the device call,
+        so a retried call is charged to the timing model once."""
         attempt = 0
         while True:
             try:
                 if self.fault_injector is not None:
                     self.fault_injector.maybe_raise("grape.compute")
-                return self.system.compute(xi, xj, mj, eps)
+                return call()
             except TransientBackendError:
                 attempt += 1
                 self.transient_retries += 1
@@ -329,66 +340,16 @@ class GrapeBackend(ForceBackend):
             super().eval_lists(pos, pmass, com, cmass, lists, sink_start,
                                sink_count, eps, out_acc, out_pot)
             return
-        attempt = 0
-        while True:
-            try:
-                if self.fault_injector is not None:
-                    self.fault_injector.maybe_raise("grape.compute")
-                done = _batch.g5_eval_lists(
-                    pos, pmass, com, cmass, lists, sink_start, sink_count,
-                    eps, out_acc, out_pot,
-                    numerics=self.system.numerics,
-                    fixed=self._coord_format())
-                break
-            except TransientBackendError:
-                attempt += 1
-                self.transient_retries += 1
-                m = self.system.metrics
-                if m is not None:
-                    m.counter("exec.fault.backend_retries",
-                              "force calls re-issued after a transient "
-                              "backend error").inc()
-                if attempt > self.max_retries:
-                    raise
+        done = self._retrying(lambda: _batch.g5_eval_lists(
+            pos, pmass, com, cmass, lists, sink_start, sink_count, eps,
+            out_acc, out_pot, numerics=self.system.numerics,
+            fixed=self._coord_format()))
         if not done:
             super().eval_lists(pos, pmass, com, cmass, lists, sink_start,
                                sink_count, eps, out_acc, out_pot)
             return
         self.system.charge_batch(np.asarray(sink_count),
                                  lists.list_lengths)
-
-    def compute_batched(self, xi, xj, mj, eps):
-        """One dense call on the native datapath (periodic near field);
-        charged exactly like :meth:`compute`, falls back to it whenever
-        the native kernel or an announced range is unavailable."""
-        from ..core.kernels import batch as _batch
-        if self.system.coordinate_range is None:
-            return self.compute(xi, xj, mj, eps)
-        attempt = 0
-        while True:
-            try:
-                if self.fault_injector is not None:
-                    self.fault_injector.maybe_raise("grape.compute")
-                res = _batch.g5_pairwise(
-                    xi, xj, mj, eps, numerics=self.system.numerics,
-                    fixed=self._coord_format())
-                break
-            except TransientBackendError:
-                attempt += 1
-                self.transient_retries += 1
-                m = self.system.metrics
-                if m is not None:
-                    m.counter("exec.fault.backend_retries",
-                              "force calls re-issued after a transient "
-                              "backend error").inc()
-                if attempt > self.max_retries:
-                    raise
-        if res is None:
-            return self.compute(xi, xj, mj, eps)
-        n_i = int(np.asarray(xi).shape[0])
-        n_j = int(np.asarray(xj).shape[0])
-        self.system.charge_batch(np.asarray([n_i]), np.asarray([n_j]))
-        return res
 
     def capabilities(self) -> BackendCaps:
         """Batch planning data: the combined particle data memory is the

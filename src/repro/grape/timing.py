@@ -127,10 +127,10 @@ class GrapeTimingModel:
     def force_call_time_batch(self, n_i, n_j):
         """Vectorised :meth:`force_call_time` over call arrays.
 
-        Used by the batched kernel path to charge a whole CSR block of
-        calls in one shot; term-for-term identical to the scalar method
-        (same ceil splits, same operation order) so batched and
-        per-call charging produce the same ``model_seconds``.
+        Used by the compiled CSR walk to charge a whole block of calls
+        in one shot; term-for-term identical to the scalar method
+        (same ceil splits, same operation order) so block and per-call
+        charging produce the same ``model_seconds``.
         """
         import numpy as np
         n_i = np.asarray(n_i, dtype=np.float64)

@@ -131,8 +131,9 @@ class JobSpec:
     faults: Optional[str] = None
     #: engine/backend retry budget
     max_retries: int = 2
-    #: kernel-set selection (``repro.core.kernels`` registry name);
-    #: ``None`` means the default pure-python reference set
+    #: kernel-set selection (a :func:`repro.core.kernels.resolve_kernels`
+    #: name, normalised to the resolved set's); ``None`` means the
+    #: default set
     kernels: Optional[str] = None
 
     def __post_init__(self) -> None:

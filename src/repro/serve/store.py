@@ -113,11 +113,16 @@ def spec_hash(spec) -> str:
     Accepts a :class:`~repro.serve.jobs.JobSpec` or a plain job
     document.  Two submissions share a hash iff their results are
     bit-identical by construction (kind + validated params + kernel
-    set; kernel sets are themselves proven bit-identical but keyed
-    separately out of caution).
+    set).  The kernel set is keyed by its *resolved* name, so
+    ``null``, ``"numpy"`` and the retired alias ``"python"`` share one
+    key -- and entries an older store cached under ``null`` or
+    ``"python"`` (computed by the retired per-sink path, which differs
+    in the last bits) are never served.
     """
+    from ..core.kernels import resolve_kernels
     doc = spec if isinstance(spec, dict) else spec.to_dict()
     key = {f: doc.get(f) for f in _CACHE_KEY_FIELDS}
+    key["kernels"] = resolve_kernels(key["kernels"]).name
     blob = json.dumps(["repro.cachekey/v1", key], sort_keys=True,
                       separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.kernels import (Float64Backend, pairwise_accpot,
-                                self_potential_correction)
+from repro.core.kernels import (Float64Backend, ForceBackend,
+                                pairwise_accpot, self_potential_correction)
+from repro.core.traversal import InteractionLists
 
 
 class TestClosedForms:
@@ -156,3 +157,62 @@ class TestFloat64Backend:
         a1, p1 = Float64Backend().compute(xi, xj, mj, 0.05)
         a2, p2 = pairwise_accpot(xi, xj, mj, 0.05)
         assert np.array_equal(a1, a2) and np.array_equal(p1, p2)
+
+
+class _Recording(ForceBackend):
+    """Records every dense call and returns recognisable rows."""
+
+    def __init__(self):
+        self.calls = []
+
+    def compute(self, xi, xj, mj, eps):
+        self.calls.append((xi.copy(), xj.copy(), mj.copy()))
+        k = float(len(self.calls))
+        return np.full((xi.shape[0], 3), k), np.full(xi.shape[0], -k)
+
+
+class TestReferenceLoop:
+    """The base :meth:`ForceBackend.eval_lists`: one ``compute`` call
+    per sink, over the source list the host ships to the GRAPE."""
+
+    def test_order_is_cells_then_particles(self):
+        pos = np.arange(12, dtype=np.float64).reshape(4, 3)
+        pmass = np.array([1.0, 2.0, 3.0, 4.0])
+        com = 100.0 + np.arange(6, dtype=np.float64).reshape(2, 3)
+        cmass = np.array([10.0, 20.0])
+        lists = InteractionLists(
+            n_sinks=1,
+            cell_idx=np.array([1, 0], dtype=np.int64),
+            cell_off=np.array([0, 2], dtype=np.int64),
+            part_idx=np.array([3], dtype=np.int64),
+            part_off=np.array([0, 1], dtype=np.int64))
+        be = _Recording()
+        acc, pot = np.zeros((4, 3)), np.zeros(4)
+        be.eval_lists(pos, pmass, com, cmass, lists, np.array([1]),
+                      np.array([2]), 0.1, acc, pot)
+        ((xi, xj, mj),) = be.calls
+        assert np.array_equal(xi, pos[1:3])
+        assert np.array_equal(xj, np.vstack([com[1], com[0], pos[3]]))
+        assert np.array_equal(mj, np.array([20.0, 10.0, 4.0]))
+
+    def test_assigns_sink_rows_through_offset_views(self):
+        """Rows are assigned (re-runs are idempotent) and the offsets
+        may be a slice that does not start at zero."""
+        pos = np.zeros((5, 3))
+        lists = InteractionLists(
+            n_sinks=2,
+            cell_idx=np.array([0, 0, 0], dtype=np.int64),
+            cell_off=np.array([1, 2, 3], dtype=np.int64),
+            part_idx=np.empty(0, dtype=np.int64),
+            part_off=np.zeros(3, dtype=np.int64))
+        be = _Recording()
+        acc, pot = np.full((5, 3), 7.0), np.full(5, 7.0)
+        for _ in range(2):
+            be.calls.clear()
+            be.eval_lists(pos, np.ones(5), np.ones((1, 3)), np.ones(1),
+                          lists, np.array([0, 3]), np.array([3, 2]), 0.1,
+                          acc, pot)
+        assert [c[1].shape[0] for c in be.calls] == [1, 1]
+        assert np.array_equal(acc[:, 0], [1, 1, 1, 2, 2])
+        assert np.array_equal(pot, [-1, -1, -1, -2, -2])
+

@@ -1,37 +1,40 @@
-"""Differential harness for the kernel-set registry (docs/kernels.md).
+"""Differential harness for list evaluation (docs/kernels.md).
 
-The contract between the ``python`` reference set and the vectorized
-``numpy`` set:
+Every interaction-list sweep goes through
+:meth:`~repro.core.kernels.ForceBackend.eval_lists`.  The bundled
+backends override it with the compiled CSR walk; the base-class
+implementation is the per-sink reference loop over ``compute``.  The
+contract between the two:
 
-* **tree structure and Morton keys are bit-identical** -- both sets
-  share the same construction kernels, and this suite pins that as an
-  observable property, not an implementation accident;
 * **forces and potentials agree to tight float tolerance** -- the
-  batched evaluators re-associate sums, so exact equality is not
-  required, but the error budget is a few ULPs per interaction;
-* the selection is **uniform**: the same ``kernels=`` value works on
+  compiled walk re-associates sums, so exact equality is not required,
+  but the error budget is a few ULPs per interaction;
+* **the GRAPE time model does not notice** -- call count, interaction
+  total and modelled seconds are exactly equal;
+* the ``kernels=`` selection is **uniform**: the same value works on
   :class:`~repro.core.treecode.TreeCode`,
   :class:`~repro.cosmo.periodic_tree.PeriodicTreeCode`, the serial
   engine and the pipeline engine, and unknown names fail loudly.
-"""
 
-import warnings
+With ``REPRO_KERNELS_NO_CNATIVE=1`` both sides run the reference loop
+and the comparisons hold trivially.
+"""
 
 import numpy as np
 import pytest
 
 from repro.core import TreeCode
-from repro.core.kernels import (KernelSet, kernel_names,
-                                register_kernels, resolve_kernels)
+from repro.core.kernels import (Float64Backend, ForceBackend,
+                                kernel_names, resolve_kernels)
 from repro.cosmo.periodic_tree import PeriodicTreeCode
 from repro.exec import PipelineEngine
 from repro.grape import GrapeBackend
 from repro.sim.models import plummer_model
 
-#: relative tolerance of the batched-vs-reference force comparison;
-#: the observed error is ~1e-15 (re-association of per-interaction
-#: sums), so 1e-12 is two-plus decades of headroom without masking a
-#: real kernel bug
+#: relative tolerance of the native-vs-reference force comparison; the
+#: observed error is ~1e-15 (re-association of per-interaction sums),
+#: so 1e-12 is two-plus decades of headroom without masking a real
+#: kernel bug
 RTOL = 1e-12
 
 EPS = 0.01
@@ -49,6 +52,19 @@ CASES = [
     (10000, "open", 0.75),
     (10000, "periodic", 0.75),
 ]
+
+
+class ReferenceFloat64(Float64Backend):
+    """Float64 arithmetic through the base-class reference loop."""
+
+    eval_lists = ForceBackend.eval_lists
+
+
+class ReferenceGrape(GrapeBackend):
+    """The GRAPE emulator through the base-class reference loop (one
+    :meth:`Grape5System.compute` call per sink)."""
+
+    eval_lists = ForceBackend.eval_lists
 
 
 @pytest.fixture(scope="module")
@@ -72,13 +88,20 @@ def ewald_table():
     return EwaldCorrectionTable(BOX)
 
 
-def _treecode(geometry, theta, kernels, ewald_table, n_crit=256,
-              engine=None):
+def _treecode(geometry, theta, backend, ewald_table, n_crit=256):
     if geometry == "open":
-        return TreeCode(theta=theta, n_crit=n_crit, kernels=kernels,
-                        engine=engine)
+        return TreeCode(theta=theta, n_crit=n_crit, backend=backend)
     return PeriodicTreeCode(box=BOX, theta=theta, n_crit=n_crit,
-                            kernels=kernels, ewald_table=ewald_table)
+                            backend=backend, ewald_table=ewald_table)
+
+
+def _assert_close(acc1, pot1, acc0, pot0):
+    scale = np.max(np.abs(acc0))
+    np.testing.assert_allclose(acc1, acc0, rtol=RTOL, atol=RTOL * scale)
+    # potentials cancel strongly in periodic boxes, so judge them
+    # against the field's magnitude, not each near-zero entry
+    np.testing.assert_allclose(pot1, pot0, rtol=RTOL,
+                               atol=RTOL * np.max(np.abs(pot0)))
 
 
 class TestRegistry:
@@ -86,9 +109,12 @@ class TestRegistry:
         assert "python" in kernel_names()
         assert "numpy" in kernel_names()
 
-    def test_resolve_default_is_python(self):
-        assert resolve_kernels(None).name == "python"
-        assert resolve_kernels(None).batched is False
+    def test_default_and_retired_name_resolve_to_one_set(self):
+        ks = resolve_kernels(None)
+        assert ks.name == "numpy"
+        assert ks.batched is True
+        assert resolve_kernels("python") is ks
+        assert resolve_kernels("numpy") is ks
 
     def test_resolve_passthrough(self):
         ks = resolve_kernels("numpy")
@@ -98,13 +124,9 @@ class TestRegistry:
         with pytest.raises(ValueError, match="choose from"):
             resolve_kernels("fortran")
 
-    def test_register_rejects_non_kernelset(self):
-        with pytest.raises(TypeError):
-            register_kernels("numpy")
-
     def test_shared_tree_kernels(self):
-        """Tree bit-identity by construction: both sets run the very
-        same build/traverse callables."""
+        """Tree bit-identity by construction: every accepted name runs
+        the very same build/traverse callables."""
         py, nx = resolve_kernels("python"), resolve_kernels("numpy")
         assert py.morton_keys is nx.morton_keys
         assert py.build_tree is nx.build_tree
@@ -143,62 +165,65 @@ class TestForceEquivalence:
     @pytest.mark.parametrize("n,geometry,theta", CASES)
     def test_numpy_matches_python(self, snapshots, ewald_table, n,
                                   geometry, theta):
+        """Native ``eval_lists`` against the reference loop."""
         pos, mass = snapshots[(n, geometry)]
-        ref = _treecode(geometry, theta, "python", ewald_table)
+        ref = _treecode(geometry, theta, ReferenceFloat64(), ewald_table)
         acc0, pot0 = ref.accelerations(pos, mass, EPS)
-        tc = _treecode(geometry, theta, "numpy", ewald_table)
+        tc = _treecode(geometry, theta, Float64Backend(), ewald_table)
         acc1, pot1 = tc.accelerations(pos, mass, EPS)
-        scale = np.max(np.abs(acc0))
-        np.testing.assert_allclose(acc1, acc0, rtol=RTOL,
-                                   atol=RTOL * scale)
-        # potentials cancel strongly in periodic boxes, so judge them
-        # against the field's magnitude, not each near-zero entry
-        np.testing.assert_allclose(pot1, pot0, rtol=RTOL,
-                                   atol=RTOL * np.max(np.abs(pot0)))
+        _assert_close(acc1, pot1, acc0, pot0)
         # identical lists -> identical interaction counts
         assert (tc.last_stats.total_interactions
                 == ref.last_stats.total_interactions)
+        assert tc.backend.interactions == ref.backend.interactions
+
+    @pytest.mark.parametrize("geometry", ["open", "periodic"])
+    def test_original_algorithm(self, snapshots, ewald_table, geometry):
+        """One list per particle: single-row sinks through the same
+        sweep."""
+        pos, mass = snapshots[(1000, geometry)]
+        ref = _treecode(geometry, 0.75, ReferenceFloat64(), ewald_table)
+        acc0, pot0 = ref.accelerations(pos, mass, EPS,
+                                       algorithm="original")
+        tc = _treecode(geometry, 0.75, Float64Backend(), ewald_table)
+        acc1, pot1 = tc.accelerations(pos, mass, EPS, algorithm="original")
+        _assert_close(acc1, pot1, acc0, pot0)
+        assert tc.backend.interactions == ref.backend.interactions
 
     def test_quadrupole_path(self, snapshots):
         pos, mass = snapshots[(1000, "open")]
         ref = TreeCode(theta=0.75, n_crit=256, quadrupole=True,
-                       kernels="python")
+                       backend=ReferenceFloat64())
         acc0, pot0 = ref.accelerations(pos, mass, EPS)
-        tc = TreeCode(theta=0.75, n_crit=256, quadrupole=True,
-                      kernels="numpy")
+        tc = TreeCode(theta=0.75, n_crit=256, quadrupole=True)
         acc1, pot1 = tc.accelerations(pos, mass, EPS)
-        scale = np.max(np.abs(acc0))
-        np.testing.assert_allclose(acc1, acc0, rtol=RTOL,
-                                   atol=RTOL * scale)
-        # potentials cancel strongly in periodic boxes, so judge them
-        # against the field's magnitude, not each near-zero entry
-        np.testing.assert_allclose(pot1, pot0, rtol=RTOL,
-                                   atol=RTOL * np.max(np.abs(pot0)))
+        _assert_close(acc1, pot1, acc0, pot0)
 
-    def test_grape_backend_counters_and_forces(self, snapshots):
-        """On the emulator the batched path must preserve the *model*:
+    def _grape_pair(self, snapshots, ewald_table, geometry):
+        pos, mass = snapshots[(1000, geometry)]
+        out = []
+        for gb in (ReferenceGrape(), GrapeBackend()):
+            tc = _treecode(geometry, 0.5, gb, ewald_table)
+            acc, pot = tc.accelerations(pos, mass, EPS)
+            out.append((acc, pot, gb.system.n_calls,
+                        gb.system.interactions, gb.system.model_seconds))
+        (a0, p0, *counters0), (a1, p1, *counters1) = out
+        _assert_close(a1, p1, a0, p0)
+        assert counters1 == counters0
+
+    def test_grape_backend_counters_and_forces(self, snapshots,
+                                               ewald_table):
+        """On the emulator the native walk must preserve the *model*:
         same call count, same interaction totals, same modelled
         seconds -- the paper's time accounting must not notice the
         host-side vectorization."""
-        pos, mass = snapshots[(1000, "open")]
-        refs = {}
-        for mode in ("python", "numpy"):
-            gb = GrapeBackend()
-            tc = TreeCode(theta=0.5, n_crit=256, backend=gb,
-                          kernels=mode)
-            acc, pot = tc.accelerations(pos, mass, EPS)
-            refs[mode] = (acc, pot, gb.system.n_calls,
-                          gb.system.interactions,
-                          gb.system.model_seconds)
-        a0, p0, calls0, inter0, sec0 = refs["python"]
-        a1, p1, calls1, inter1, sec1 = refs["numpy"]
-        scale = np.max(np.abs(a0))
-        np.testing.assert_allclose(a1, a0, rtol=RTOL,
-                                   atol=RTOL * scale)
-        np.testing.assert_allclose(p1, p0, rtol=RTOL)
-        assert calls1 == calls0
-        assert inter1 == inter0
-        assert sec1 == pytest.approx(sec0, rel=1e-12)
+        self._grape_pair(snapshots, ewald_table, "open")
+
+    def test_periodic_grape_counters_and_forces(self, snapshots,
+                                                ewald_table):
+        """The same for the periodic box's one single-sink sweep per
+        group."""
+        self._grape_pair(snapshots, ewald_table, "periodic")
 
 
 class TestEngines:
@@ -217,28 +242,23 @@ class TestEngines:
         assert np.array_equal(pot1, pot0)
 
     def test_pipeline_numpy_matches_python_reference(self, snapshots):
+        """Pipeline batches against the reference loop."""
         pos, mass = snapshots[(1000, "open")]
-        ref = TreeCode(theta=0.75, n_crit=64, kernels="python")
+        ref = TreeCode(theta=0.75, n_crit=64, backend=ReferenceFloat64())
         acc0, pot0 = ref.accelerations(pos, mass, EPS)
         with PipelineEngine(workers=2, batch_nj=2048) as eng:
             tcp = TreeCode(theta=0.75, n_crit=64, kernels="numpy",
                            engine=eng)
             acc1, pot1 = tcp.accelerations(pos, mass, EPS)
-        scale = np.max(np.abs(acc0))
-        np.testing.assert_allclose(acc1, acc0, rtol=RTOL,
-                                   atol=RTOL * scale)
-        # potentials cancel strongly in periodic boxes, so judge them
-        # against the field's magnitude, not each near-zero entry
-        np.testing.assert_allclose(pot1, pot0, rtol=RTOL,
-                                   atol=RTOL * np.max(np.abs(pot0)))
+        _assert_close(acc1, pot1, acc0, pot0)
 
 
 @pytest.mark.chaos
 class TestChaosSmoke:
     def test_worker_crash_recovers_bit_identical(self, snapshots):
-        """The retry ladder re-executes crashed batches; because the
-        batched evaluator *assigns* output rows (never accumulates),
-        the recovered sweep equals the undisturbed one exactly."""
+        """The retry ladder re-executes crashed batches; because
+        ``eval_lists`` *assigns* output rows (never accumulates), the
+        recovered sweep equals the undisturbed one exactly."""
         pos, mass = snapshots[(1000, "open")]
         with PipelineEngine(workers=2, batch_nj=2048) as eng:
             tc = TreeCode(theta=0.75, n_crit=64, kernels="numpy",
@@ -255,30 +275,3 @@ class TestChaosSmoke:
         assert np.array_equal(pot1, pot0)
         assert reg.value("exec.fault.worker_deaths") >= 1
         assert reg.value("exec.fault.batch_retries") >= 1
-
-
-class TestDeprecationShim:
-    def test_legacy_eval_sink_override_downgrades_once(self, snapshots):
-        """A pre-registry subclass that overrides ``_eval_sink``
-        without declaring batch support keeps working on the python
-        set, with a single warning per class."""
-        pos, mass = snapshots[(64, "open")]
-
-        class LegacyTree(TreeCode):
-            def _eval_sink(self, tree, lists, sink, xi, eps):
-                return super()._eval_sink(tree, lists, sink, xi, eps)
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            tc = LegacyTree(theta=0.75, n_crit=32, kernels="numpy")
-            tc2 = LegacyTree(theta=0.75, n_crit=32, kernels="numpy")
-        deps = [w for w in caught
-                if issubclass(w.category, DeprecationWarning)]
-        assert len(deps) == 1
-        assert tc.kernels.name == "python"
-        assert tc2.kernels.name == "python"
-        ref = TreeCode(theta=0.75, n_crit=32, kernels="python")
-        acc0, pot0 = ref.accelerations(pos, mass, EPS)
-        acc1, pot1 = tc.accelerations(pos, mass, EPS)
-        assert np.array_equal(acc1, acc0)
-        assert np.array_equal(pot1, pot0)

@@ -1,10 +1,10 @@
-"""Unit tests of the batch planner and source assembly."""
+"""Unit tests of the batch planner and list concatenation."""
 
 import numpy as np
 import pytest
 
 from repro.core.traversal import InteractionLists, concatenate_lists
-from repro.exec.plan import assemble_sources, plan_batches
+from repro.exec.plan import plan_batches
 
 
 class TestPlanBatches:
@@ -37,23 +37,6 @@ class TestPlanBatches:
 
     def test_no_cap(self):
         assert plan_batches(np.array([10, 20]), None) == [(0, 2)]
-
-
-class TestAssembleSources:
-    def test_order_is_cells_then_particles(self):
-        pos = np.arange(12, dtype=np.float64).reshape(4, 3)
-        pmass = np.array([1.0, 2.0, 3.0, 4.0])
-        com = 100.0 + np.arange(6, dtype=np.float64).reshape(2, 3)
-        cmass = np.array([10.0, 20.0])
-        lists = InteractionLists(
-            n_sinks=1,
-            cell_idx=np.array([1, 0], dtype=np.int64),
-            cell_off=np.array([0, 2], dtype=np.int64),
-            part_idx=np.array([3], dtype=np.int64),
-            part_off=np.array([0, 1], dtype=np.int64))
-        xj, mj = assemble_sources(pos, pmass, com, cmass, lists, 0)
-        assert np.array_equal(xj, np.vstack([com[1], com[0], pos[3]]))
-        assert np.array_equal(mj, np.array([20.0, 10.0, 4.0]))
 
 
 class TestConcatenateLists:

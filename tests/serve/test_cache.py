@@ -14,8 +14,11 @@ params, kernel set) is served from the store's result cache --
 * jobs carrying a fault plan are never cached or served from cache.
 """
 
+import hashlib
+import json
 import time
 
+import numpy as np
 import pytest
 
 from repro.serve import JobSpec, Scheduler, spec_hash
@@ -52,11 +55,18 @@ class TestSpecHash:
         assert spec_hash(a) != spec_hash(other)
 
     def test_kernels_and_kind_are_keyed(self):
+        """Kernels are keyed by the *resolved* set: the default, its
+        name and the retired alias ``python`` all run the same code."""
         a = JobSpec(kind="force_eval", params={"n": 64})
         k = JobSpec(kind="force_eval", params={"n": 64},
                     kernels="numpy")
+        p = JobSpec(kind="force_eval", params={"n": 64},
+                    kernels="python")
         s = JobSpec(kind="sweep", params={"n": 8192})
-        assert len({spec_hash(a), spec_hash(k), spec_hash(s)}) == 3
+        assert spec_hash(a) == spec_hash(k) == spec_hash(p)
+        assert spec_hash({"kind": "force_eval", "params": a.params,
+                          "kernels": None}) == spec_hash(a)
+        assert spec_hash(a) != spec_hash(s)
 
     def test_accepts_plain_documents(self):
         spec = JobSpec(kind="force_eval", params={"n": 64})
@@ -177,3 +187,60 @@ class TestCacheOverHTTP:
                 a["result"]["interactions"]
             # a cache hit skips the whole simulation
             assert hit_latency < 5.0
+
+
+def _old_cache_key(spec, kernels):
+    """The key a store written before the per-sink path was retired
+    filed ``spec`` under: ``kernels`` exactly as submitted."""
+    key = {"kind": spec.kind, "params": spec.params, "kernels": kernels}
+    blob = json.dumps(["repro.cachekey/v1", key], sort_keys=True,
+                      separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _in_process_digest(spec):
+    """``force_eval``'s result digest, computed without the service."""
+    from repro.sim.models import plummer_model
+    from repro.sim.recipes import build_force
+    p = spec.params
+    pos, _, mass = plummer_model(p["n"], np.random.default_rng(p["seed"]))
+    tc, _ = build_force(theta=p["theta"], ncrit=p["ncrit"],
+                        kernels=spec.kernels)
+    acc, pot = tc.accelerations(pos, mass, p["eps"])
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(acc, dtype=np.float64).tobytes())
+    h.update(np.ascontiguousarray(pot, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+class TestRetiredKernelEntries:
+    def test_old_null_and_python_entries_are_never_served(self, tmp_path):
+        """A durable store spanning the retirement of the per-sink path
+        holds results cached under ``kernels: null`` / ``"python"``
+        whose digests differ in the last bits; they must miss, and the
+        recomputed digest must equal an in-process evaluation."""
+        from repro.serve.store import SQLiteJobStore
+        db = tmp_path / "jobs.db"
+        spec = JobSpec(kind="force_eval", params={"n": 256})
+        stale = {"digest": "0" * 64, "n": 256}
+        store = SQLiteJobStore(db)
+        for kernels in (None, "python"):
+            store.cache_put(_old_cache_key(spec, kernels), stale["digest"],
+                            stale)
+        store.close()
+
+        s = Scheduler(slots=1, workdir=tmp_path / "w", store=db,
+                      cache=True, poll_interval=0.02).start()
+        try:
+            first = _submit_wait(s, JobSpec(kind="force_eval",
+                                            params={"n": 256}))
+            again = _submit_wait(s, JobSpec(kind="force_eval",
+                                            params={"n": 256},
+                                            kernels="python"))
+        finally:
+            s.stop()
+        assert first.cache_hit is False
+        ref = _in_process_digest(spec)
+        assert first.result["digest"] == ref
+        assert again.result["digest"] == ref
+
