@@ -35,6 +35,7 @@ from ..obs.trace import as_tracer
 from .groups import GroupSet, make_groups
 from .kernels import (Float64Backend, ForceBackend, KernelSet,
                       resolve_kernels, self_potential_correction)
+from .kernels import batch as _batch
 from .mac import MAC, BarnesHutMAC
 from .multipole import compute_moments
 from .quadkernel import quadrupole_accpot
@@ -113,7 +114,10 @@ class TreeCode:
     engine:
         A :class:`repro.exec.ForceEngine` driving the eval sweep.
         ``None`` (the default) evaluates in-process: one
-        :meth:`~repro.core.kernels.ForceBackend.eval_lists` sweep.  A
+        :meth:`~repro.core.kernels.ForceBackend.eval_lists` sweep,
+        which the compiled kernel splits across threads, one per
+        usable CPU, once the sweep has enough work (see
+        ``docs/kernels.md``) -- the default in-process parallelism.  A
         :class:`~repro.exec.PipelineEngine` dispatches CSR batches to
         worker processes and overlaps traversal of later sink shards
         with evaluation of earlier ones (the paper's host/GRAPE
@@ -273,6 +277,7 @@ class TreeCode:
             # and attributed afterwards.
             spec = self._sweep_spec(tree, sink_start, sink_count,
                                     sink_center, sink_radius, eps)
+            _batch.take_threads()
             t0 = time.perf_counter()
             with tr.span("eval", algorithm=algorithm,
                          engine=self.engine.name):
@@ -282,7 +287,8 @@ class TreeCode:
                 pot_s += self_potential_correction(tree.mass_sorted, eps)
                 t_kernel = res.kernel_seconds
                 tr.record(kernel_phase, t_kernel, calls=int(n_sinks),
-                          backend=self.backend.name)
+                          backend=self.backend.name,
+                          threads=_batch.take_threads())
             lists = res.lists
             t_traverse = res.traverse_seconds
             t_eval = max(0.0, time.perf_counter() - t0 - t_traverse)
@@ -296,10 +302,13 @@ class TreeCode:
                                               sink_radius, self.mac)
             t_traverse = time.perf_counter() - t0
 
-            t0 = time.perf_counter()
             self._kernel_seconds = 0.0
+            _batch.take_threads()
             with tr.span("eval", algorithm=algorithm,
                          kernels=self.kernels.name):
+                # timed inside the span, so the two attribution records
+                # below never sum to more than the span itself
+                t0 = time.perf_counter()
                 acc_s = np.empty((tree.n_particles, 3), dtype=np.float64)
                 pot_s = np.empty(tree.n_particles, dtype=np.float64)
                 if self.cluster is not None:
@@ -318,9 +327,11 @@ class TreeCode:
                 t_kernel = self._kernel_seconds
                 # attribute the eval sweep: backend kernel wall time vs
                 # the host-side remainder (list assembly, scatter,
-                # bookkeeping)
+                # bookkeeping); ``threads`` is the widest split of the
+                # compiled sweep, the time stays wall time
                 tr.record(kernel_phase, t_kernel, calls=int(n_sinks),
-                          backend=self.backend.name)
+                          backend=self.backend.name,
+                          threads=_batch.take_threads())
                 tr.record("host_direct", max(0.0, t_eval - t_kernel))
 
         acc = np.empty_like(acc_s)

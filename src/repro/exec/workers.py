@@ -37,6 +37,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from ..core.kernels import batch as _batch
 from ..core.traversal import InteractionLists
 from ..faults import FaultInjector, TransientBackendError
 
@@ -217,6 +218,8 @@ def worker_main(worker_id: int, factory_bytes: bytes,
     # parental, so registration here is disabled.
     from multiprocessing import resource_tracker
     resource_tracker.register = lambda *a, **k: None
+    # the pool is the parallelism here: one evaluation thread per worker
+    _batch._pin_single_thread()
     fn, args, kwargs = pickle.loads(factory_bytes)
     backend = fn(*args, **kwargs)
     injector: Optional[FaultInjector] = None
@@ -292,6 +295,7 @@ def worker_main(worker_id: int, factory_bytes: bytes,
                 # scoped helper: no shared-memory view survives the call,
                 # so cached segments can be closed cleanly later
                 _run_batch(backend, sweep, shard, a0, g0, g1, announce)
+                threads = _batch.take_threads()
                 stats1 = backend.snapshot_stats()
                 delta = {k: stats1[k] - stats0.get(k, 0.0)
                          for k in stats1}
@@ -301,7 +305,8 @@ def worker_main(worker_id: int, factory_bytes: bytes,
                     spans.append({"name": "exec.eval",
                                   "t_start": t0, "t_end": t0 + busy,
                                   "attrs": {"worker": worker_id,
-                                            "sinks": g1 - g0}})
+                                            "sinks": g1 - g0,
+                                            "threads": threads}})
                 if fault is not None and fault.kind == "corrupt_result":
                     _scribble(sweep, g0, g1)
                 result_queue.put(("done", batch_id, worker_id, sweep_id,

@@ -16,19 +16,29 @@ contract between the two:
   :class:`~repro.cosmo.periodic_tree.PeriodicTreeCode`, the serial
   engine and the pipeline engine, and unknown names fail loudly.
 
+Within the compiled walk, a sweep split across threads is **byte-equal**
+to the single call at any thread count (``TestThreadedSweep``).
+
 With ``REPRO_KERNELS_NO_CNATIVE=1`` both sides run the reference loop
-and the comparisons hold trivially.
+and the comparisons hold trivially (and ``TestThreadedSweep`` skips).
 """
+
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from repro.cluster.let import take_rows
 from repro.core import TreeCode
-from repro.core.kernels import (Float64Backend, ForceBackend,
+from repro.core.kernels import (Float64Backend, ForceBackend, batch,
                                 kernel_names, resolve_kernels)
+from repro.core.traversal import InteractionLists
 from repro.cosmo.periodic_tree import PeriodicTreeCode
 from repro.exec import PipelineEngine
 from repro.grape import GrapeBackend
+from repro.grape.numerics import G5_NUMERICS, FixedPointFormat
+from repro.obs.trace import Tracer
 from repro.sim.models import plummer_model
 
 #: relative tolerance of the native-vs-reference force comparison; the
@@ -275,3 +285,200 @@ class TestChaosSmoke:
         assert np.array_equal(pot1, pot0)
         assert reg.value("exec.fault.worker_deaths") >= 1
         assert reg.value("exec.fault.batch_retries") >= 1
+
+
+def _sweep_inputs(snapshots, shape):
+    """``(tree, lists, sink_start, sink_count)`` of one CSR sweep in
+    one of the shapes ``eval_lists`` receives."""
+    pos, mass = snapshots[(1000, "open")]
+    tc = TreeCode(theta=0.75, n_crit=64)
+    algorithm = "original" if shape == "original" else "modified"
+    tc.accelerations(pos, mass, EPS, algorithm=algorithm)
+    tree, lists = tc.last_tree, tc.last_lists
+    if algorithm == "original":
+        start = np.arange(tree.n_particles, dtype=np.int64)
+        count = np.ones(tree.n_particles, dtype=np.int64)
+    else:
+        start, count = tc.last_groups.start, tc.last_groups.count
+    if shape == "batch_slice":
+        # a pipeline batch [g0, g1): offset views into full index arrays
+        g0, g1 = 3, lists.n_sinks - 2
+        lists = InteractionLists(
+            n_sinks=g1 - g0, cell_idx=lists.cell_idx,
+            cell_off=lists.cell_off[g0:g1 + 1], part_idx=lists.part_idx,
+            part_off=lists.part_off[g0:g1 + 1])
+        start, count = start[g0:g1], count[g0:g1]
+    elif shape == "take_rows":
+        rows = np.arange(1, lists.n_sinks, 3)
+        lists = take_rows(lists, rows)
+        start, count = start[rows], count[rows]
+    elif shape == "two_groups":
+        lists = take_rows(lists, np.array([0, 5]))
+        start, count = start[[0, 5]], count[[0, 5]]
+    elif shape == "empty_lists":
+        # every other group has a zero-length list
+        keep = np.arange(lists.n_sinks) % 2 == 0
+        cells = [lists.cells_of(g) if k else np.empty(0, np.int64)
+                 for g, k in enumerate(keep)]
+        parts = [lists.parts_of(g) if k else np.empty(0, np.int64)
+                 for g, k in enumerate(keep)]
+        lists = InteractionLists(
+            n_sinks=lists.n_sinks, cell_idx=np.concatenate(cells),
+            cell_off=np.concatenate(([0], np.cumsum([len(c) for c in cells]))),
+            part_idx=np.concatenate(parts),
+            part_off=np.concatenate(([0], np.cumsum([len(p) for p in parts]))))
+    return tree, lists, start, count
+
+
+def _threaded_eval(flavour, tree, lists, start, count, threads):
+    """One compiled sweep at a forced thread count; untouched rows stay
+    NaN so a row nobody assigned shows in the bytes."""
+    acc = np.full((tree.n_particles, 3), np.nan)
+    pot = np.full(tree.n_particles, np.nan)
+    args = (tree.pos_sorted, tree.mass_sorted, tree.com, tree.mass, lists,
+            start, count, EPS, acc, pot)
+    if flavour == "f64":
+        done, _ = batch.f64_eval_lists(*args, _threads=threads)
+    else:
+        fixed = None
+        if flavour == "g5":
+            lo, hi = float(tree.pos_sorted.min()), float(tree.pos_sorted.max())
+            fixed = FixedPointFormat(bits=G5_NUMERICS.position_bits,
+                                     xmin=lo - 1.0, xmax=hi + 1.0)
+        done = batch.g5_eval_lists(*args, numerics=G5_NUMERICS, fixed=fixed,
+                                   _threads=threads)
+    assert done
+    return acc.tobytes() + pot.tobytes()
+
+
+@pytest.fixture
+def split_sweeps(monkeypatch):
+    """Call to let the automatic plan split any sweep with work into up
+    to four ranges, whatever the host's CPU count."""
+    def split():
+        monkeypatch.setattr(batch, "MIN_WORK_PER_THREAD", 1)
+        monkeypatch.setattr(batch, "_usable_cpus", lambda: 4)
+    return split
+
+
+def _grape_step(pos, mass, **backend_kw):
+    """One traced GRAPE force step: ``(output bytes, counters, backend,
+    tracer)``."""
+    gb = GrapeBackend(**backend_kw)
+    tracer = Tracer()
+    tc = TreeCode(theta=0.5, n_crit=64, backend=gb, tracer=tracer)
+    acc, pot = tc.accelerations(pos, mass, EPS)
+    counters = (gb.system.n_calls, gb.system.interactions,
+                gb.system.model_seconds)
+    return acc.tobytes() + pot.tobytes(), counters, tc, tracer
+
+
+@pytest.mark.skipif(not batch.native_available(),
+                    reason="compiled kernel unavailable")
+class TestThreadedSweep:
+    """Threaded CSR sweeps are byte-equal to the single-call walk and
+    leave the GRAPE time model untouched."""
+
+    @pytest.mark.parametrize("shape", ["modified", "original",
+                                       "batch_slice", "take_rows",
+                                       "two_groups", "empty_lists"])
+    @pytest.mark.parametrize("flavour", ["f64", "g5", "g5_unquantised"])
+    def test_forced_threads_byte_equal(self, snapshots, flavour, shape):
+        sweep = _sweep_inputs(snapshots, shape)
+        ref = _threaded_eval(flavour, *sweep, threads=1)
+        assert batch.take_threads() == 1
+        for threads in (2, 3, 8):
+            assert _threaded_eval(flavour, *sweep, threads=threads) == ref
+        # the widest split really ran several ranges (two_groups: two)
+        assert batch.take_threads() == min(8, sweep[1].n_sinks)
+
+    def test_concurrent_callers(self, snapshots):
+        """Callers on several threads (serve jobs) sweep at once: every
+        output stays byte-equal and each caller's record is its own."""
+        sweep = _sweep_inputs(snapshots, "modified")
+        ref = _threaded_eval("g5", *sweep, threads=1)
+        batch.take_threads()
+        results = {}
+
+        def job(k):
+            out = _threaded_eval("g5", *sweep, threads=3)
+            results[k] = (out, batch.take_threads())
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=job, args=(k,))
+                       for k in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in callers)
+        assert results == {k: (ref, 3) for k in range(4)}
+        assert batch.take_threads() == 1
+
+    def test_automatic_plan(self, monkeypatch):
+        work = np.full(10, batch.MIN_WORK_PER_THREAD, dtype=np.int64)
+        monkeypatch.setattr(batch, "_usable_cpus", lambda: 4)
+        assert batch._group_ranges(work[:1], None) == [(0, 1)]
+        assert len(batch._group_ranges(work[:3], None)) == 3
+        ranges = batch._group_ranges(work, None)
+        assert ranges == [(0, 2), (2, 5), (5, 7), (7, 10)]
+        monkeypatch.setattr(batch, "_thread_cap", 1)
+        assert batch._group_ranges(work, None) == [(0, 10)]
+
+    def test_grape_counters_and_trace(self, snapshots, split_sweeps):
+        """Counters to the last bit, forces to the byte, and the kernel
+        span records the split while ``times["kernel"]`` stays wall
+        time."""
+        pos, mass = snapshots[(1000, "open")]
+        out0, counters0, _, tracer0 = _grape_step(pos, mass)
+        split_sweeps()
+        out1, counters1, tc, tracer1 = _grape_step(pos, mass)
+        assert out1 == out0
+        assert counters1 == counters0
+        for tracer, threads in ((tracer0, 1), (tracer1, 4)):
+            (kernel,) = [s for s in tracer.iter_spans()
+                         if s.name == "grape_force"]
+            assert kernel.attrs["threads"] == threads
+        assert tc.last_stats.times["kernel"] == pytest.approx(
+            kernel.duration)
+
+    def test_transient_fault_retried_and_charged_once(self, snapshots,
+                                                      split_sweeps):
+        from repro.faults import FaultInjector, FaultPlan, FaultSpec
+        pos, mass = snapshots[(1000, "open")]
+        out0, counters0, _, _ = _grape_step(pos, mass)
+        split_sweeps()
+        plan = FaultPlan([FaultSpec("transient_error",
+                                    site="grape.compute", count=1)])
+        out1, counters1, tc, _ = _grape_step(
+            pos, mass, fault_injector=FaultInjector(plan))
+        assert tc.backend.transient_retries == 1
+        assert out1 == out0
+        assert counters1 == counters0
+
+    def test_pipeline_workers_single_threaded(self, snapshots,
+                                              split_sweeps):
+        """W worker processes x T threads would oversubscribe the CPUs:
+        workers pin their sweeps to one thread (the patched plan is
+        inherited through ``fork``, so unpinned workers would split)."""
+        pos, mass = snapshots[(1000, "open")]
+        split_sweeps()
+        tracer = Tracer()
+        acc0, pot0 = TreeCode(theta=0.75, n_crit=64,
+                              tracer=tracer).accelerations(pos, mass, EPS)
+        (kernel,) = [s for s in tracer.iter_spans()
+                     if s.name == "host_kernel"]
+        assert kernel.attrs["threads"] == 4
+        tracer = Tracer()
+        with PipelineEngine(workers=2, batch_nj=1 << 20) as eng:
+            tc = TreeCode(theta=0.75, n_crit=64, engine=eng, tracer=tracer)
+            acc1, pot1 = tc.accelerations(pos, mass, EPS)
+        evals = [s for s in tracer.iter_spans() if s.name == "exec.eval"]
+        assert evals
+        assert all(s.attrs["threads"] == 1 for s in evals)
+        assert acc1.tobytes() == acc0.tobytes()
+        assert pot1.tobytes() == pot0.tobytes()
